@@ -3,9 +3,9 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.*')
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-json fuzz lint cover repl-smoke txn-smoke
+.PHONY: ci fmt vet build test bench bench-smoke bench-json fuzz lint cover repl-smoke txn-smoke stress
 
-ci: fmt vet build lint test cover bench-smoke fuzz repl-smoke txn-smoke
+ci: fmt vet build lint test cover bench-smoke fuzz repl-smoke txn-smoke stress
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \
@@ -85,22 +85,29 @@ repl-smoke:
 	go test -race -count=1 -run 'TestShipStreamFaultMatrix|TestHungPrimaryCannotWedgeApply' ./internal/repl
 	go test -race -count=1 -run 'TestTopologyStalledReplicaPoisonedAndEvicted' ./internal/client
 
-# Group-commit smoke (DESIGN.md §15): the concurrent-committer
-# linearizability oracle + crash matrix and the transaction test package
-# named explicitly in a CI log, then the PR-10 series on reduced sizes
+# Group-commit smoke (DESIGN.md §15): the PR-10 series on reduced sizes
 # with its gates enforced — throughput monotonic in writer count 1/2/4/8
 # and >=3x over the fsync-per-insert baseline at 8 writers (gisbench
 # exits nonzero otherwise). The committed artifact is regenerated at
-# full size by `make bench-json`.
+# full size by `make bench-json`. The group-commit and transaction tests
+# run 20 times each in `make stress`.
 txn-smoke:
-	go test -race -count=1 -run 'TestWALGroupCommit|TestTxn' ./internal/storage ./internal/geodb
-	go test -race -count=1 -run 'TestShipFramesNeverSplitTxn|TestReplicaPrefixConsistencyConcurrentWriters' ./internal/repl
 	@mkdir -p /tmp/gis-bench
 	go run ./cmd/gisbench -txn-json /tmp/gis-bench/BENCH_PR10.json -quick
 
+# Concurrency stress (DESIGN.md §15): the storage group-commit oracles, the
+# buffer pool's concurrent Fetch/Unpin test, the geodb transaction tests
+# and the replication transaction-boundary tests, 20 passes each under
+# -race. A schedule that fails one run in ten then fails CI instead of
+# slipping through a single pass.
+stress:
+	go test -race -count=20 -run 'TestWALGroupCommit|TestBufferPoolConcurrentFetch' ./internal/storage
+	go test -race -count=20 -run 'TestTxn' ./internal/geodb
+	go test -race -count=20 -run 'TestShipFramesNeverSplitTxn|TestReplicaPrefixConsistencyConcurrentWriters' ./internal/repl
+
 # Machine-readable perf artifacts: the PR-4 concurrent hot paths (decision
-# cache, pipelined client, sharded buffer pool; DESIGN.md §10), the PR-5
-# durability series (WAL off vs synced vs group-committed; DESIGN.md §11),
+# cache, pipelined client; DESIGN.md §10), the PR-5 durability series (WAL
+# off vs synced vs group-committed; DESIGN.md §11),
 # the PR-7 replication read scale-out series (DESIGN.md §13), and the PR-10
 # group-commit transaction series (DESIGN.md §15).
 bench-json:

@@ -27,7 +27,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments")
 		quick   = flag.Bool("quick", false, "reduced sizes for fast runs")
 		metrics = flag.Bool("metrics", false, "print the metrics delta after each experiment")
-		jsonOut = flag.String("json", "", "run the PR-4 perf series (decision cache, pipelined client, sharded pool) and write machine-readable results to this file")
+		jsonOut = flag.String("json", "", "run the PR-4 perf series (decision cache, pipelined client) and write machine-readable results to this file")
 		walOut  = flag.String("wal-json", "", "run the PR-5 durability series (WAL off vs synced vs group-committed) and write machine-readable results to this file")
 		replOut = flag.String("repl-json", "", "run the PR-7 replication series (read throughput at 0/1/2/4 replicas) and write machine-readable results to this file")
 		txnOut  = flag.String("txn-json", "", "run the PR-10 group-commit series (transaction throughput at 1/2/4/8 writers vs the fsync-per-insert baseline) and write machine-readable results to this file; fails unless scaling is monotonic and 8 writers clear 3x the baseline")
@@ -110,7 +110,7 @@ func main() {
 			fmt.Printf("%-28s %14.0f %12d %12d\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 		}
 		fmt.Println()
-		for _, k := range []string{"dispatch_cached_speedup", "pipeline_depth16_speedup", "pool_sharded_speedup"} {
+		for _, k := range []string{"dispatch_cached_speedup", "pipeline_depth16_speedup"} {
 			if v, ok := rep.Ratios[k]; ok {
 				fmt.Printf("%-28s %14.2fx\n", k, v)
 			}

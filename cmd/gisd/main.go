@@ -43,7 +43,6 @@ func main() {
 		wal        = flag.Bool("wal", true, "write-ahead logging for a -db file: acknowledged mutations survive a crash (false = flush-on-close only)")
 		ckptEvery  = flag.Int("checkpoint-every", 1024, "checkpoint (flush + truncate the WAL) after this many commits; bounds replay on restart (<0 = never)")
 		txn        = flag.Bool("txn", true, "serve the txn verb: clients may commit atomic mutation batches sharing one group-commit fsync (false = per-mutation commits only)")
-		syncEvery  = flag.Int("sync-every", 0, "deprecated and ignored: group commit coalesces concurrent fsyncs without deferring durability")
 
 		replListen = flag.String("repl-listen", "", "serve the WAL ship stream to replicas on this address (primary role; forces the WAL on)")
 		replicaOf  = flag.String("replica-of", "", "follow the primary's ship stream at this address and serve read-only verbs (replica role; most workload flags are ignored)")
@@ -63,9 +62,6 @@ func main() {
 		fatal(err)
 	}
 	logger := obs.NewLogger(os.Stderr, lvl).With("proc", "gisd")
-	if *syncEvery != 0 {
-		logger.Warn("-sync-every is deprecated and ignored: group commit replaced fsync batching (every acknowledged commit is durable)")
-	}
 
 	if *replicaOf != "" {
 		runReplica(logger, *addr, *replicaOf, *maxLag, *slowApply, *idle, *maxConns, *pipeline, *drain, *metrics)

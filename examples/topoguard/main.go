@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync/atomic"
 
 	gisui "repro"
 	"repro/internal/catalog"
@@ -89,5 +90,5 @@ func main() {
 		fmt.Printf("insert overlapping zone:   vetoed — %v\n", err)
 	}
 
-	fmt.Printf("\nguard stats: %d checks, %d vetoes\n", sys.Guard.Checks, sys.Guard.Vetoes)
+	fmt.Printf("\nguard stats: %d checks, %d vetoes\n", atomic.LoadUint64(&sys.Guard.Checks), atomic.LoadUint64(&sys.Guard.Vetoes))
 }

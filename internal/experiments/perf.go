@@ -1,7 +1,7 @@
-// Perf harnesses for the PR-4 hot paths (decision cache, pipelined client,
-// sharded buffer pool). The constructions live here so the testing.B series
-// in bench_test.go and the machine-readable `gisbench -json` artifact
-// measure exactly the same workloads.
+// Perf harnesses for the PR-4 hot paths (decision cache, pipelined
+// client). The constructions live here so the testing.B series in
+// bench_test.go and the machine-readable `gisbench -json` artifact measure
+// exactly the same workloads.
 package experiments
 
 import (
@@ -10,7 +10,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"repro/internal/geodb"
 	"repro/internal/server"
 	"repro/internal/spec"
-	"repro/internal/storage"
 	"repro/internal/ui"
 	"repro/internal/workload"
 )
@@ -173,45 +171,6 @@ func (p *PipelineBench) Close() {
 	_ = p.f.Close()
 }
 
-// PoolBench drives Fetch/Unpin cycles over a sharded buffer pool with more
-// pages than frames, so the replacement policy stays busy.
-type PoolBench struct {
-	Pool *storage.BufferPool
-	IDs  []storage.PageID
-}
-
-func NewPoolBench(capacity, pages, shards int) (*PoolBench, error) {
-	pager := storage.NewMemPager()
-	ids := make([]storage.PageID, pages)
-	for i := range ids {
-		id, err := pager.Allocate()
-		if err != nil {
-			return nil, err
-		}
-		var p storage.Page
-		p.InitPage()
-		if err := pager.WritePage(id, &p); err != nil {
-			return nil, err
-		}
-		ids[i] = id
-	}
-	return &PoolBench{
-		Pool: storage.NewShardedBufferPool(pager, capacity, storage.PolicyLRU, shards),
-		IDs:  ids,
-	}, nil
-}
-
-// Step fetches and unpins one page; i selects which.
-func (p *PoolBench) Step(i int) error {
-	id := p.IDs[i%len(p.IDs)]
-	if _, err := p.Pool.Fetch(id); err != nil {
-		return err
-	}
-	return p.Pool.Unpin(id, false)
-}
-
-func (p *PoolBench) Close() error { return p.Pool.Close() }
-
 // PerfResult is one benchmark line of the machine-readable artifact.
 type PerfResult struct {
 	Name        string             `json:"name"`
@@ -319,52 +278,6 @@ func RunPerf(quick bool) (*PerfReport, error) {
 		rep.Ratios["pipeline_depth16_speedup"] = pipeNs[1] / pipeNs[16]
 	}
 
-	// Sharded pool: concurrent Fetch/Unpin, one shard vs eight.
-	capacity, pages := 256, 512
-	if quick {
-		capacity, pages = 64, 128
-	}
-	var poolNs = map[int]float64{}
-	for _, shards := range []int{1, 8} {
-		plb, err := NewPoolBench(capacity, pages, shards)
-		if err != nil {
-			return nil, err
-		}
-		var mu sync.Mutex
-		var stepErr error
-		var seq atomic.Int64
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetParallelism(4)
-			b.RunParallel(func(tb *testing.PB) {
-				i := int(seq.Add(1)) * 131
-				for tb.Next() {
-					if err := plb.Step(i); err != nil {
-						mu.Lock()
-						if stepErr == nil {
-							stepErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					i += 13
-				}
-			})
-		})
-		closeErr := plb.Close()
-		if stepErr != nil {
-			return nil, stepErr
-		}
-		if closeErr != nil {
-			return nil, closeErr
-		}
-		res := perfResult(fmt.Sprintf("pool_sharded_shards%d", shards), r, nil)
-		poolNs[shards] = res.NsPerOp
-		rep.Results = append(rep.Results, res)
-	}
-	if poolNs[8] > 0 {
-		rep.Ratios["pool_sharded_speedup"] = poolNs[1] / poolNs[8]
-	}
 	return rep, nil
 }
 

@@ -5,7 +5,7 @@
 // with one sequential writer (every acknowledged insert pays a full fsync),
 // and WAL with 8 concurrent writers whose commits share fsyncs through the
 // group-commit leader (every ack still durable; see DESIGN.md §15). The
-// old `SyncEvery=32` variant is gone with the option it measured: deferring
+// old batched-fsync variant is gone with the option it measured: deferring
 // fsyncs traded acknowledged durability for speed, group commit doesn't.
 // The testing.B series in bench_test.go and `gisbench -wal-json`
 // (BENCH_PR5.json) run exactly these constructions.

@@ -98,8 +98,8 @@ func TestSnapshotPagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if lsn == 0 || lsn != db.WAL().Durable() {
-		t.Fatalf("snapshot LSN %d, durable %d; want equal and nonzero", lsn, db.WAL().Durable())
+	if lsn == 0 || lsn != db.WAL().SyncedLSN() {
+		t.Fatalf("snapshot LSN %d, durable %d; want equal and nonzero", lsn, db.WAL().SyncedLSN())
 	}
 
 	follower, err := OpenFollower("GEO", clone)

@@ -218,26 +218,6 @@ func (db *DB) InstancesInWindow(schema, class string, window geom.Rect) ([]Insta
 	return out, nil
 }
 
-// WindowExact refines Window with the exact geometry predicate: the window
-// rectangle must intersect the geometry itself, not only its bounds.
-func (db *DB) WindowExact(schema, class string, window geom.Rect) ([]catalog.OID, error) {
-	cands, err := db.Window(schema, class, window)
-	if err != nil {
-		return nil, err
-	}
-	var out []catalog.OID
-	for _, oid := range cands {
-		in, err := db.lookup(oid)
-		if err != nil {
-			return nil, err
-		}
-		if g, ok := in.Geometry(); ok && geom.Intersects(g, window) {
-			out = append(out, oid)
-		}
-	}
-	return out, nil
-}
-
 // Nearest returns the k instances of the class nearest to p, closest first.
 func (db *DB) Nearest(schema, class string, p geom.Point, k int) ([]catalog.OID, error) {
 	db.mu.RLock()
@@ -255,69 +235,6 @@ func (db *DB) Nearest(schema, class string, p geom.Point, k int) ([]catalog.OID,
 		oids[i] = catalog.OID(id)
 	}
 	return oids, nil
-}
-
-// RelateQuery returns instances of the class whose geometry stands in the
-// given topological relation to the probe polygon (bounding-box prefilter
-// through the R-tree, exact polygon relation after). It powers both the
-// analysis mode and the topological-constraint subsystem.
-func (db *DB) RelateQuery(schema, class string, probe geom.Polygon, rel geom.Relation) ([]catalog.OID, error) {
-	// Disjoint cannot be prefiltered by the index; fall back to scanning.
-	var cands []catalog.OID
-	var err error
-	if rel == geom.Disjoint {
-		instances, serr := db.Select(schema, class, nil)
-		if serr != nil {
-			return nil, serr
-		}
-		for _, in := range instances {
-			cands = append(cands, in.OID)
-		}
-	} else {
-		cands, err = db.Window(schema, class, probe.Bounds())
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []catalog.OID
-	for _, oid := range cands {
-		in, err := db.lookup(oid)
-		if err != nil {
-			return nil, err
-		}
-		g, ok := in.Geometry()
-		if !ok {
-			continue
-		}
-		var got geom.Relation
-		switch gg := g.(type) {
-		case geom.Polygon:
-			got = geom.Relate(gg, probe)
-		case geom.Rect:
-			got = geom.Relate(gg.AsPolygon(), probe)
-		case geom.Point:
-			// Points only admit disjoint/inside/meet vs a region.
-			switch geom.PointInPolygon(gg, probe) {
-			case 1:
-				got = geom.Inside
-			case 0:
-				got = geom.Meet
-			default:
-				got = geom.Disjoint
-			}
-		default:
-			// Lines: approximate with intersects → overlap, else disjoint.
-			if geom.Intersects(g, probe) {
-				got = geom.Overlap
-			} else {
-				got = geom.Disjoint
-			}
-		}
-		if got == rel {
-			out = append(out, oid)
-		}
-	}
-	return out, nil
 }
 
 // Stats summarizes the database for dashboards and the gisbench report.

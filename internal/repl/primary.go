@@ -161,7 +161,7 @@ func NewPrimary(db *geodb.DB, opts PrimaryOptions) (*Primary, error) {
 			firstObserved = p.buf[0].rec.LSN
 		}
 		var head []bufRec
-		durable := wal.Durable()
+		durable := wal.SyncedLSN()
 		for _, r := range seed {
 			if firstObserved != 0 && r.LSN >= firstObserved {
 				break
@@ -177,7 +177,7 @@ func NewPrimary(db *geodb.DB, opts PrimaryOptions) (*Primary, error) {
 			p.buf = append([]bufRec(nil), p.buf[over:]...)
 		}
 	}
-	if d := wal.Durable(); d > p.durable {
+	if d := wal.SyncedLSN(); d > p.durable {
 		p.durable = d
 	}
 	p.mu.Unlock()

@@ -40,10 +40,8 @@ func (p ReplacementPolicy) String() string {
 	}
 }
 
-// ErrPoolExhausted is returned when every frame a page could occupy is
-// pinned and a new page is requested. In a sharded pool the exhaustion is
-// per shard: only the shard the page stripes to can hold it, so its frames
-// are the ones that must free up.
+// ErrPoolExhausted is returned when every frame is pinned (or holds a page
+// of the open WAL group, which is no-steal) and a new page is requested.
 var ErrPoolExhausted = errors.New("storage: buffer pool exhausted (all frames pinned)")
 
 // PoolStats counts buffer pool traffic. Hits+Misses equals the number of
@@ -60,13 +58,6 @@ func (s PoolStats) HitRatio() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-func (s *PoolStats) add(o PoolStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Flushes += o.Flushes
 }
 
 type frame struct {
@@ -87,27 +78,10 @@ type frame struct {
 }
 
 // BufferPool caches pages of a Pager in a fixed number of frames with
-// pin/unpin semantics. All methods are safe for concurrent use; a pinned
+// pin/unpin semantics. All methods are safe for concurrent use (one mutex
+// guards the frames, the replacement state and the counters); a pinned
 // page's bytes may be read or mutated by the pinning goroutine until Unpin.
-//
-// The pool is striped: frames live in shards keyed by PageID, each shard
-// with its own mutex and replacement state (DESIGN.md §10), so concurrent
-// fetches of pages in different shards never contend. NewBufferPool builds
-// the single-shard pool (the exact pre-sharding semantics, with one global
-// capacity); NewShardedBufferPool stripes the capacity across N shards.
 type BufferPool struct {
-	pager    Pager
-	capacity int
-	policy   ReplacementPolicy
-	shards   []*poolShard
-	wal      *WAL
-}
-
-// poolShard is one stripe of the pool: a fixed number of frames with their
-// own lock, replacement state and counters. It is exactly the pre-sharding
-// BufferPool, minus the Pager (shared; Pager implementations are required
-// to be safe for concurrent use, so shards call it in parallel).
-type poolShard struct {
 	mu       sync.Mutex
 	pager    Pager
 	wal      *WAL
@@ -121,103 +95,42 @@ type poolShard struct {
 }
 
 // NewBufferPool wraps pager with a pool of capacity frames using the given
-// replacement policy, in a single shard (one lock, one global capacity — the
-// classic configuration, and what capacity-precise callers should use). It
-// panics on a non-positive capacity: pool sizing is a construction-time
-// decision.
+// replacement policy. It panics on a non-positive capacity: pool sizing is
+// a construction-time decision.
 func NewBufferPool(pager Pager, capacity int, policy ReplacementPolicy) *BufferPool {
-	return NewShardedBufferPool(pager, capacity, policy, 1)
-}
-
-// NewShardedBufferPool wraps pager with capacity frames striped across
-// shards locks. Shard counts are clamped to [1, capacity] so every shard
-// has at least one frame; the capacity remainder goes to the first shards.
-// Note that striping makes capacity per-shard: a workload that pins more
-// than capacity/shards pages all landing in one shard can see
-// ErrPoolExhausted before the whole pool is pinned.
-func NewShardedBufferPool(pager Pager, capacity int, policy ReplacementPolicy, shards int) *BufferPool {
 	if capacity <= 0 {
 		panic("storage: buffer pool capacity must be positive")
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	b := &BufferPool{
+	return &BufferPool{
 		pager:    pager,
 		capacity: capacity,
 		policy:   policy,
-		shards:   make([]*poolShard, shards),
+		frames:   make(map[PageID]*frame, capacity),
+		lru:      list.New(),
 	}
-	base, rem := capacity/shards, capacity%shards
-	for i := range b.shards {
-		n := base
-		if i < rem {
-			n++
-		}
-		b.shards[i] = &poolShard{
-			pager:    pager,
-			capacity: n,
-			policy:   policy,
-			frames:   make(map[PageID]*frame, n),
-			lru:      list.New(),
-		}
-	}
-	return b
-}
-
-func (b *BufferPool) shardFor(id PageID) *poolShard {
-	return b.shards[int(uint32(id))%len(b.shards)]
 }
 
 // AttachWAL enables write-ahead logging: every Unpin(dirty) appends the
 // page's after-image to the log, and eviction/Flush refuse to write a page
 // back until the log is synced through its latest image. Attach before any
 // page is dirtied (geodb.Open does this right after construction).
-func (b *BufferPool) AttachWAL(w *WAL) {
-	b.wal = w
-	for _, sh := range b.shards {
-		sh.wal = w
-	}
-}
+func (b *BufferPool) AttachWAL(w *WAL) { b.wal = w }
 
 // WAL returns the attached log, or nil.
 func (b *BufferPool) WAL() *WAL { return b.wal }
 
-// Stats returns a snapshot of the pool counters, aggregated across shards.
+// Stats returns a snapshot of the pool counters.
 func (b *BufferPool) Stats() PoolStats {
-	var out PoolStats
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		out.add(sh.stats)
-		sh.mu.Unlock()
-	}
-	return out
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stats
 }
 
-// Capacity returns the total number of frames across all shards.
+// Capacity returns the number of frames.
 func (b *BufferPool) Capacity() int { return b.capacity }
-
-// Shards returns the number of lock stripes.
-func (b *BufferPool) Shards() int { return len(b.shards) }
 
 // Policy returns the replacement policy.
 func (b *BufferPool) Policy() ReplacementPolicy { return b.policy }
-
-// Fetch pins the page and returns a pointer to its in-pool bytes. The caller
-// must Unpin with the same id exactly once, marking whether it mutated the
-// page.
-func (b *BufferPool) Fetch(id PageID) (*Page, error) {
-	return b.shardFor(id).fetch(id)
-}
-
-// Unpin releases one pin on the page. dirty marks the page as modified so
-// eviction or Flush writes it back.
-func (b *BufferPool) Unpin(id PageID, dirty bool) error {
-	return b.shardFor(id).unpin(id, dirty)
-}
 
 // Allocate creates a new page through the pool: it is allocated in the pager
 // and immediately cached and pinned. Callers must Unpin it.
@@ -226,7 +139,7 @@ func (b *BufferPool) Allocate() (PageID, *Page, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	page, err := b.shardFor(id).adopt(id)
+	page, err := b.adopt(id)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -236,35 +149,20 @@ func (b *BufferPool) Allocate() (PageID, *Page, error) {
 // NumPages reports the page count of the underlying pager.
 func (b *BufferPool) NumPages() uint32 { return b.pager.NumPages() }
 
-// Flush writes every dirty frame back to the pager without evicting,
-// visiting shards in index order. Callers must have quiesced writers (geodb
-// holds its write lock): every group is closed, so nothing here can steal
-// an uncommitted page.
-func (b *BufferPool) Flush() error {
-	for _, sh := range b.shards {
-		if err := sh.flush(false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Flush writes every dirty frame back to the pager without evicting.
+// Callers must have quiesced writers (geodb holds its write lock): every
+// group is closed, so nothing here can steal an uncommitted page.
+func (b *BufferPool) Flush() error { return b.flush(false) }
 
 // FlushSettled writes back every dirty frame that is unpinned and whose
-// latest logged image belongs to a committed group, taking each shard's
-// lock briefly. It is the fuzzy first pass of an incremental checkpoint:
-// it runs concurrently with writers, shrinking the residue the quiesced
-// second pass (Flush under the database write lock) must handle. Pinned or
-// open-group frames are skipped, not errors.
-func (b *BufferPool) FlushSettled() error {
-	for _, sh := range b.shards {
-		if err := sh.flush(true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// latest logged image belongs to a committed group. It is the fuzzy first
+// pass of an incremental checkpoint: it runs concurrently with writers,
+// shrinking the residue the quiesced second pass (Flush under the database
+// write lock) must handle. Pinned or open-group frames are skipped, not
+// errors.
+func (b *BufferPool) FlushSettled() error { return b.flush(true) }
 
-// Close flushes dirty pages (shards in index order) and closes the pager.
+// Close flushes dirty pages and closes the pager.
 func (b *BufferPool) Close() error {
 	if err := b.Flush(); err != nil {
 		_ = b.pager.Close()
@@ -273,44 +171,49 @@ func (b *BufferPool) Close() error {
 	return b.pager.Close()
 }
 
-func (sh *poolShard) fetch(id PageID) (*Page, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f, ok := sh.frames[id]; ok {
-		sh.stats.Hits++
+// Fetch pins the page and returns a pointer to its in-pool bytes. The caller
+// must Unpin with the same id exactly once, marking whether it mutated the
+// page.
+func (b *BufferPool) Fetch(id PageID) (*Page, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if f, ok := b.frames[id]; ok {
+		b.stats.Hits++
 		mPoolHits.Inc()
-		sh.pin(f)
+		b.pin(f)
 		return &f.page, nil
 	}
-	sh.stats.Misses++
+	b.stats.Misses++
 	mPoolMisses.Inc()
-	f, err := sh.allocFrame(id)
+	f, err := b.allocFrame(id)
 	if err != nil {
 		return nil, err
 	}
-	if err := sh.pager.ReadPage(id, &f.page); err != nil {
-		delete(sh.frames, id)
+	if err := b.pager.ReadPage(id, &f.page); err != nil {
+		delete(b.frames, id)
 		return nil, err
 	}
-	sh.pin(f)
+	b.pin(f)
 	return &f.page, nil
 }
 
-func (sh *poolShard) unpin(id PageID, dirty bool) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f, ok := sh.frames[id]
+// Unpin releases one pin on the page. dirty marks the page as modified so
+// eviction or Flush writes it back.
+func (b *BufferPool) Unpin(id PageID, dirty bool) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	f, ok := b.frames[id]
 	if !ok {
 		return fmt.Errorf("storage: unpin of uncached page %d", id)
 	}
 	if f.pins == 0 {
 		return fmt.Errorf("storage: unpin of unpinned page %d", id)
 	}
-	if dirty && sh.wal != nil {
+	if dirty && b.wal != nil {
 		// Log the after-image before the mutation can be considered done.
 		// The record is not yet synced: the commit point (WAL.Commit) or the
 		// writeback gate below makes it durable.
-		lsn, err := sh.wal.AppendPage(id, &f.page)
+		lsn, err := b.wal.AppendPage(id, &f.page)
 		if err != nil {
 			// The pin is still released — a failed append must not wedge the
 			// frame — but the page stays dirty and the caller sees the error
@@ -319,8 +222,8 @@ func (sh *poolShard) unpin(id PageID, dirty bool) error {
 			f.pins--
 			if f.pins == 0 {
 				f.ref = true
-				if sh.policy == PolicyLRU {
-					f.lruEnt = sh.lru.PushFront(id)
+				if b.policy == PolicyLRU {
+					f.lruEnt = b.lru.PushFront(id)
 				}
 			}
 			return err
@@ -334,49 +237,49 @@ func (sh *poolShard) unpin(id PageID, dirty bool) error {
 	f.pins--
 	if f.pins == 0 {
 		f.ref = true
-		if sh.policy == PolicyLRU {
-			f.lruEnt = sh.lru.PushFront(id)
+		if b.policy == PolicyLRU {
+			f.lruEnt = b.lru.PushFront(id)
 		}
 	}
 	return nil
 }
 
 // adopt caches and pins a freshly allocated page (bytes initialized here).
-func (sh *poolShard) adopt(id PageID) (*Page, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f, err := sh.allocFrame(id)
+func (b *BufferPool) adopt(id PageID) (*Page, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	f, err := b.allocFrame(id)
 	if err != nil {
 		return nil, err
 	}
 	f.page.InitPage()
 	f.dirty = true
-	sh.pin(f)
+	b.pin(f)
 	return &f.page, nil
 }
 
 // pin marks a frame in use, removing it from the eviction structures.
-func (sh *poolShard) pin(f *frame) {
+func (b *BufferPool) pin(f *frame) {
 	f.pins++
 	f.ref = true
 	if f.pins == 1 && f.lruEnt != nil {
-		sh.lru.Remove(f.lruEnt)
+		b.lru.Remove(f.lruEnt)
 		f.lruEnt = nil
 	}
 }
 
 // allocFrame finds or evicts a frame for page id and registers it (page
 // bytes unfilled).
-func (sh *poolShard) allocFrame(id PageID) (*frame, error) {
-	if len(sh.frames) >= sh.capacity {
-		if err := sh.evict(); err != nil {
+func (b *BufferPool) allocFrame(id PageID) (*frame, error) {
+	if len(b.frames) >= b.capacity {
+		if err := b.evict(); err != nil {
 			return nil, err
 		}
 	}
 	f := &frame{id: id}
-	sh.frames[id] = f
-	if sh.policy == PolicyClock {
-		sh.clock = append(sh.clock, id)
+	b.frames[id] = f
+	if b.policy == PolicyClock {
+		b.clock = append(b.clock, id)
 	}
 	return f, nil
 }
@@ -386,101 +289,101 @@ func (sh *poolShard) allocFrame(id PageID) (*frame, error) {
 // frame must not reach the data file, because recovery discards unfinished
 // groups from the log and a stolen page would leave the data file holding
 // half a mutation with no durable image to redo or discard it from.
-func (sh *poolShard) openGroup(f *frame) bool {
-	return sh.wal != nil && f.dirty && f.pageLSN > sh.wal.LastGroupEnd()
+func (b *BufferPool) openGroup(f *frame) bool {
+	return b.wal != nil && f.dirty && f.pageLSN > b.wal.LastGroupEnd()
 }
 
-func (sh *poolShard) evict() error {
-	switch sh.policy {
+func (b *BufferPool) evict() error {
+	switch b.policy {
 	case PolicyLRU:
-		for e := sh.lru.Back(); e != nil; e = e.Prev() {
+		for e := b.lru.Back(); e != nil; e = e.Prev() {
 			id := e.Value.(PageID)
-			f := sh.frames[id]
-			if f == nil || f.pins > 0 || sh.openGroup(f) {
+			f := b.frames[id]
+			if f == nil || f.pins > 0 || b.openGroup(f) {
 				continue
 			}
-			sh.lru.Remove(e)
-			return sh.dropFrame(f)
+			b.lru.Remove(e)
+			return b.dropFrame(f)
 		}
 		return ErrPoolExhausted
 	case PolicyClock:
 		// Two full sweeps: the first clears reference bits, the second
 		// must find a victim unless everything is pinned.
-		for sweep := 0; sweep < 2*len(sh.clock)+1; sweep++ {
-			if len(sh.clock) == 0 {
+		for sweep := 0; sweep < 2*len(b.clock)+1; sweep++ {
+			if len(b.clock) == 0 {
 				break
 			}
-			sh.hand %= len(sh.clock)
-			id := sh.clock[sh.hand]
-			f, ok := sh.frames[id]
+			b.hand %= len(b.clock)
+			id := b.clock[b.hand]
+			f, ok := b.frames[id]
 			if !ok {
 				// Stale ring entry from an earlier eviction; compact.
-				sh.clock = append(sh.clock[:sh.hand], sh.clock[sh.hand+1:]...)
+				b.clock = append(b.clock[:b.hand], b.clock[b.hand+1:]...)
 				continue
 			}
-			if f.pins > 0 || sh.openGroup(f) {
-				sh.hand++
+			if f.pins > 0 || b.openGroup(f) {
+				b.hand++
 				continue
 			}
 			if f.ref {
 				f.ref = false
-				sh.hand++
+				b.hand++
 				continue
 			}
-			sh.clock = append(sh.clock[:sh.hand], sh.clock[sh.hand+1:]...)
-			return sh.dropFrame(f)
+			b.clock = append(b.clock[:b.hand], b.clock[b.hand+1:]...)
+			return b.dropFrame(f)
 		}
 		return ErrPoolExhausted
 	default:
-		return fmt.Errorf("storage: unknown replacement policy %v", sh.policy)
+		return fmt.Errorf("storage: unknown replacement policy %v", b.policy)
 	}
 }
 
-func (sh *poolShard) dropFrame(f *frame) error {
+func (b *BufferPool) dropFrame(f *frame) error {
 	if f.dirty {
-		if sh.wal != nil {
+		if b.wal != nil {
 			// WAL-before-data: the page's latest logged image must be
 			// durable before the data file can change under it.
-			if err := sh.wal.SyncTo(f.pageLSN); err != nil {
+			if err := b.wal.SyncTo(f.pageLSN); err != nil {
 				return fmt.Errorf("storage: wal sync before writeback of page %d: %w", f.id, err)
 			}
 		}
-		if err := sh.pager.WritePage(f.id, &f.page); err != nil {
+		if err := b.pager.WritePage(f.id, &f.page); err != nil {
 			return fmt.Errorf("storage: writeback of page %d: %w", f.id, err)
 		}
-		sh.stats.Flushes++
+		b.stats.Flushes++
 		mPoolFlushes.Inc()
 	}
-	delete(sh.frames, f.id)
-	sh.stats.Evictions++
+	delete(b.frames, f.id)
+	b.stats.Evictions++
 	mPoolEvictions.Inc()
 	return nil
 }
 
-func (sh *poolShard) flush(settledOnly bool) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, f := range sh.frames {
+func (b *BufferPool) flush(settledOnly bool) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, f := range b.frames {
 		if !f.dirty {
 			continue
 		}
-		if settledOnly && (f.pins > 0 || sh.openGroup(f)) {
+		if settledOnly && (f.pins > 0 || b.openGroup(f)) {
 			// A pinned frame may be mid-mutation by its pinning goroutine and
 			// an open-group frame is no-steal; the quiesced second pass of the
 			// checkpoint picks both up.
 			continue
 		}
-		if sh.wal != nil {
-			if err := sh.wal.SyncTo(f.pageLSN); err != nil {
+		if b.wal != nil {
+			if err := b.wal.SyncTo(f.pageLSN); err != nil {
 				return fmt.Errorf("storage: wal sync before flush of page %d: %w", f.id, err)
 			}
 		}
-		if err := sh.pager.WritePage(f.id, &f.page); err != nil {
+		if err := b.pager.WritePage(f.id, &f.page); err != nil {
 			return fmt.Errorf("storage: flush page %d: %w", f.id, err)
 		}
 		f.dirty = false
 		f.recLSN = 0
-		sh.stats.Flushes++
+		b.stats.Flushes++
 		mPoolFlushes.Inc()
 	}
 	return nil

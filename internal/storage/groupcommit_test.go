@@ -48,6 +48,20 @@ func gcPage(w, v int) *Page {
 
 func gcPageID(w int) PageID { return PageID(100 + w) }
 
+// appendGroup appends writer w's version-v image and closes its group,
+// returning the group-end LSN. EndGroup requires its caller to hold the
+// lock that serialized the group's appends (geodb's write lock in
+// production); mu plays that role here. Commit stays outside the lock so
+// concurrent committers still coalesce onto shared fsyncs.
+func appendGroup(mu *sync.Mutex, wal *WAL, w, v int) (LSN, error) {
+	mu.Lock()
+	defer mu.Unlock()
+	if _, err := wal.AppendPage(gcPageID(w), gcPage(w, v)); err != nil {
+		return 0, err
+	}
+	return wal.EndGroup()
+}
+
 // TestWALGroupCommitCoalesces: with many committers contending on a slow
 // log device, the leader/follower handoff must amortize fsyncs — strictly
 // fewer syncs than commits — while every Commit still returns only after
@@ -56,24 +70,21 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 	const writers = 8
 	const rounds = 16
 	logf := &slowLogFile{LogFile: NewMemLogFile(), delay: time.Millisecond}
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grouped0 := mWALGroupCommits.Value()
 
 	var wg sync.WaitGroup
+	var groupMu sync.Mutex
 	errs := make([]error, writers)
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for v := 0; v < rounds; v++ {
-				if _, err := w.AppendPage(gcPageID(i), gcPage(i, v)); err != nil {
-					errs[i] = err
-					return
-				}
-				end, err := w.EndGroup()
+				end, err := appendGroup(&groupMu, w, i, v)
 				if err != nil {
 					errs[i] = err
 					return
@@ -123,12 +134,13 @@ type gcAcked struct {
 // writer's history (acked = -1 when nothing was acknowledged).
 func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, seed int64) []gcAcked {
 	t.Helper()
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist := make([]gcAcked, writers)
 	var wg sync.WaitGroup
+	var groupMu sync.Mutex
 	for i := 0; i < writers; i++ {
 		hist[i] = gcAcked{acked: -1, attempted: -1}
 		wg.Add(1)
@@ -138,10 +150,7 @@ func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, see
 			for v := 0; v < rounds; v++ {
 				time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
 				hist[i].attempted = v
-				if _, err := w.AppendPage(gcPageID(i), gcPage(i, v)); err != nil {
-					return
-				}
-				if _, err := w.EndGroup(); err != nil {
+				if _, err := appendGroup(&groupMu, w, i, v); err != nil {
 					return
 				}
 				if err := w.Commit(); err != nil {
@@ -161,7 +170,7 @@ func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, see
 // nothing appears that was never attempted.
 func verifyGroupCommitHistory(t *testing.T, label string, logf *MemLogFile, hist []gcAcked) {
 	t.Helper()
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}

@@ -127,23 +127,9 @@ func OpenLogFile(path string) (LogFile, error) {
 	return osLogFile{f}, nil
 }
 
-// WALOptions tunes a WAL.
-type WALOptions struct {
-	// SyncEvery is deprecated and ignored. It used to batch commit fsyncs
-	// (sync only every Nth commit), trading the durability of the last <N
-	// acknowledged commits for throughput — and it had a hole: an
-	// eviction-forced sync could reset the batch counter mid-group, letting
-	// Commit acknowledge a mutation whose tail records were never synced.
-	// Group commit replaces it: every acknowledged commit is durable, and
-	// concurrent committers share fsyncs instead of skipping them.
-	SyncEvery int
-}
-
 // WAL is a redo write-ahead log over a LogFile. All methods are safe for
 // concurrent use.
 type WAL struct {
-	opts WALOptions
-
 	mu         sync.Mutex
 	syncCond   *sync.Cond // broadcast when synced advances or the leader slot frees
 	syncing    bool       // a leader's fsync is in flight (mu released around it)
@@ -204,8 +190,8 @@ func toRecord(r walRecord) Record {
 // not replay: callers that may hold acknowledged-but-unapplied mutations
 // must call Replay (and normally checkpoint) before appending. An empty
 // file starts at LSN 1.
-func OpenWAL(f LogFile, opts WALOptions) (*WAL, error) {
-	w := &WAL{opts: opts, f: f, nextLSN: 1}
+func OpenWAL(f LogFile) (*WAL, error) {
+	w := &WAL{f: f, nextLSN: 1}
 	w.syncCond = sync.NewCond(&w.mu)
 	size, err := f.Size()
 	if err != nil {
@@ -453,11 +439,6 @@ func (w *WAL) WaitDurable(lsn LSN) error {
 	return w.waitDurableLocked(lsn)
 }
 
-// Sync forces the log durable through the last append.
-func (w *WAL) Sync() error {
-	return w.Commit()
-}
-
 // SyncTo makes the log durable through at least lsn. It is the
 // WAL-before-data gate: the buffer pool calls it before writing back a
 // dirty page whose latest image is lsn. Already-synced LSNs are free.
@@ -535,19 +516,13 @@ func (w *WAL) advanceDurableLocked(goal LSN) {
 	}
 }
 
-// SyncedLSN reports the LSN through which the log is durable.
+// SyncedLSN reports the LSN through which the log is durable. The
+// replication ship loop streams records only at or below this bound, so a
+// replica can never apply state the primary might lose in a crash.
 func (w *WAL) SyncedLSN() LSN {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.synced
-}
-
-// Durable reports the LSN through which the log is durable — the replication
-// ship loop's name for SyncedLSN: a primary only ever streams records at or
-// below this bound, so a replica can never apply state the primary might
-// lose in a crash.
-func (w *WAL) Durable() LSN {
-	return w.SyncedLSN()
 }
 
 // ReadFrom decodes the records still present in the log with LSN >= from,

@@ -22,7 +22,7 @@ func pageWith(t *testing.T, payload string) *Page {
 
 func TestWALAppendAndReplay(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestWALAppendAndReplay(t *testing.T) {
 	}
 
 	// Reopen and replay into a fresh pager, as Open would after a crash.
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestWALAppendAndReplay(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if _, err := w.EndGroup(); err != nil {
 		t.Fatalf("end group: %v", err)
 	}
-	if err := w.Sync(); err != nil {
+	if err := w.Commit(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	goodSize, err := lf.Size()
@@ -98,7 +98,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("write torn tail: %v", err)
 	}
 
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if _, err := w2.AppendPage(9, pageWith(t, "after-tear")); err != nil {
 		t.Fatalf("append after truncation: %v", err)
 	}
-	if err := w2.Sync(); err != nil {
+	if err := w2.Commit(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	recs, valid := scanWAL(lf.Bytes())
@@ -132,7 +132,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptMiddleStopsScan(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -154,14 +154,13 @@ func TestWALCorruptMiddleStopsScan(t *testing.T) {
 	}
 }
 
-// TestWALCommitAlwaysDurable: SyncEvery is deprecated and ignored — every
-// Commit that returns has made the log durable through its last append, no
-// matter what batching the options ask for.
+// TestWALCommitAlwaysDurable: every Commit that returns has made the log
+// durable through its last append — a lone committer never batches fsyncs.
 func TestWALCommitAlwaysDurable(t *testing.T) {
 	lf := NewMemLogFile()
 	crash := &Crasher{} // count-only: every WriteAt/Sync/Truncate is a point
 	cf := NewCrashLogFile(lf, crash)
-	w, err := OpenWAL(cf, WALOptions{SyncEvery: 4})
+	w, err := OpenWAL(cf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -183,14 +182,14 @@ func TestWALCommitAlwaysDurable(t *testing.T) {
 	}
 }
 
-// TestWALCommitCoversGroupAfterEvictionSync is the regression test for the
-// SyncEvery durability hole: under batched sync, an eviction-forced SyncTo
-// mid-group reset the batch counter, so the Commit that closed the group
-// could acknowledge without its tail records — marker included — ever being
-// synced. The invariant now: acknowledged ⇒ the whole group is durable.
+// TestWALCommitCoversGroupAfterEvictionSync is the regression test for a
+// durability hole of the removed batched-sync option: an eviction-forced
+// SyncTo mid-group reset the batch counter, so the Commit that closed the
+// group could acknowledge without its tail records — marker included — ever
+// being synced. The invariant: acknowledged ⇒ the whole group is durable.
 func TestWALCommitCoversGroupAfterEvictionSync(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{SyncEvery: 100}) // old code: sync every 100th commit
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -222,7 +221,7 @@ func TestWALCommitCoversGroupAfterEvictionSync(t *testing.T) {
 
 func TestWALCheckpointTruncatesAndKeepsLSNsMonotonic(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -231,7 +230,7 @@ func TestWALCheckpointTruncatesAndKeepsLSNsMonotonic(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if err := w.Sync(); err != nil {
+	if err := w.Commit(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	bigSize := w.Size()
@@ -243,7 +242,7 @@ func TestWALCheckpointTruncatesAndKeepsLSNsMonotonic(t *testing.T) {
 	}
 	// Replay after checkpoint applies nothing: the data file owns it all.
 	pager := NewMemPager()
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -258,7 +257,7 @@ func TestWALCheckpointTruncatesAndKeepsLSNsMonotonic(t *testing.T) {
 	if lsn <= 5 { // 4 images + 1 checkpoint marker
 		t.Fatalf("LSN went backwards across checkpoint: %d", lsn)
 	}
-	if err := w.Sync(); err != nil {
+	if err := w.Commit(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	recs, _ := scanWAL(lf.Bytes())
@@ -277,7 +276,7 @@ func TestWALFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open log file: %v", err)
 	}
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open wal: %v", err)
 	}
@@ -293,7 +292,7 @@ func TestWALFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen log file: %v", err)
 	}
-	w2, err := OpenWAL(lf2, WALOptions{})
+	w2, err := OpenWAL(lf2)
 	if err != nil {
 		t.Fatalf("reopen wal: %v", err)
 	}
@@ -361,7 +360,7 @@ func TestCrashPagerTornWrite(t *testing.T) {
 func TestWALBeforeData(t *testing.T) {
 	mem := NewMemPager()
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open wal: %v", err)
 	}
@@ -416,7 +415,7 @@ func TestWALBeforeData(t *testing.T) {
 // marker's.
 func TestWALCheckpointOnlyLogReopens(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -431,7 +430,7 @@ func TestWALCheckpointOnlyLogReopens(t *testing.T) {
 	}
 	ckptLSN := w.SyncedLSN()
 
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen of checkpoint-marker-only log: %v", err)
 	}
@@ -439,8 +438,8 @@ func TestWALCheckpointOnlyLogReopens(t *testing.T) {
 		t.Fatalf("replay of checkpoint-only log: n=%d err=%v, want 0, nil", n, err)
 	}
 	// The marker is the last durable record and a group boundary.
-	if w2.Durable() != ckptLSN || w2.Boundary() != ckptLSN {
-		t.Fatalf("durable=%d boundary=%d after reopen, want both %d", w2.Durable(), w2.Boundary(), ckptLSN)
+	if w2.SyncedLSN() != ckptLSN || w2.Boundary() != ckptLSN {
+		t.Fatalf("durable=%d boundary=%d after reopen, want both %d", w2.SyncedLSN(), w2.Boundary(), ckptLSN)
 	}
 	lsn, err := w2.AppendPage(1, pageWith(t, "y"))
 	if err != nil {
@@ -456,7 +455,7 @@ func TestWALCheckpointOnlyLogReopens(t *testing.T) {
 // restart of the sequence would alias two different histories.
 func TestWALLSNContinuesAfterTruncation(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -492,7 +491,7 @@ func TestWALLSNContinuesAfterTruncation(t *testing.T) {
 // into a snapshot fallback.
 func TestWALReadFrom(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -541,7 +540,7 @@ func TestWALReadFrom(t *testing.T) {
 // group closes, which is what keeps replicas from serving torn mutations.
 func TestWALGroupBoundary(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -573,11 +572,11 @@ func TestWALGroupBoundary(t *testing.T) {
 	if _, err := w.AppendPage(2, pageWith(t, "c")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Sync(); err != nil {
+	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Durable() != 4 {
-		t.Fatalf("durable %d after forced sync, want 4", w.Durable())
+	if w.SyncedLSN() != 4 {
+		t.Fatalf("durable %d after forced sync, want 4", w.SyncedLSN())
 	}
 	if w.Boundary() != 3 {
 		t.Fatalf("boundary %d moved by a mid-group sync, want 3", w.Boundary())
@@ -612,7 +611,7 @@ func TestWALGroupBoundary(t *testing.T) {
 // durable LSN.
 func TestWALObservers(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

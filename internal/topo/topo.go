@@ -15,6 +15,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/active"
 	"repro/internal/catalog"
@@ -108,7 +109,8 @@ func (c Constraint) Validate(cat *catalog.Catalog) error {
 type Guard struct {
 	db *geodb.DB
 	// Checks counts constraint evaluations; Vetoes counts violations
-	// blocked (B7 reporting).
+	// blocked (B7 reporting). Concurrent committers update both, so read
+	// them with atomic.LoadUint64.
 	Checks, Vetoes uint64
 }
 
@@ -142,7 +144,7 @@ func (g *Guard) Install(engine *active.Engine, c Constraint) error {
 
 // check evaluates the constraint for a mutation event.
 func (g *Guard) check(c Constraint, e event.Event) error {
-	g.Checks++
+	atomic.AddUint64(&g.Checks, 1)
 	newGeom, ok := eventGeometry(e)
 	if !ok {
 		return nil // no geometry in the mutation: nothing to constrain
@@ -154,13 +156,13 @@ func (g *Guard) check(c Constraint, e event.Event) error {
 	switch c.Mode {
 	case Forbid:
 		if len(offenders) > 0 {
-			g.Vetoes++
+			atomic.AddUint64(&g.Vetoes, 1)
 			return fmt.Errorf("%w: %s — %s %v %s (instance %v)",
 				ErrViolation, c.Name, c.Class, c.Relation, c.With, offenders[0])
 		}
 	case Require:
 		if len(offenders) == 0 {
-			g.Vetoes++
+			atomic.AddUint64(&g.Vetoes, 1)
 			return fmt.Errorf("%w: %s — %s must be %v some %s",
 				ErrViolation, c.Name, c.Class, c.Relation, c.With)
 		}
@@ -336,7 +338,7 @@ func (g *Guard) Certify(c Constraint) ([]Violation, error) {
 		if !ok {
 			continue
 		}
-		g.Checks++
+		atomic.AddUint64(&g.Checks, 1)
 		offenders, err := g.related(c, gm, in.OID)
 		if err != nil {
 			return nil, err

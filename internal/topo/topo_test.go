@@ -2,6 +2,7 @@ package topo
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/active"
@@ -135,8 +136,8 @@ func TestRequireInsideZone(t *testing.T) {
 	if err := db.UpdateAttr(ctx, oid, "location", catalog.GeomVal(geom.Pt(60, 60))); err != nil {
 		t.Fatal(err)
 	}
-	if guard.Vetoes != 2 {
-		t.Fatalf("vetoes = %d", guard.Vetoes)
+	if v := atomic.LoadUint64(&guard.Vetoes); v != 2 {
+		t.Fatalf("vetoes = %d", v)
 	}
 }
 
